@@ -50,7 +50,7 @@ from .models.probabilistic import (
     expected_outcome,
 )
 from .reference import ReferenceSet
-from .rng import Stream, derive_seed
+from .rng import Stream
 from .telemetry import TrackedVariable, Tracker, TrackingMode
 
 __all__ = [
@@ -91,30 +91,16 @@ class ProbabilisticModel:
 
     name = "probabilistic"
 
-    def __init__(
-        self,
-        settings: ChallengeSettings,
-        enumeration_cap: int = 1_000_000,
-        mc_samples: int = 20_000,
-    ) -> None:
+    def __init__(self, settings: ChallengeSettings) -> None:
         self.settings = settings
-        self.enumeration_cap = enumeration_cap
-        self.mc_samples = mc_samples
-        self._seed_base = 0
 
-    def bind(self, seed: int) -> None:
-        self._seed_base = derive_seed(seed, "zone-mc")
+    def bind(self, seed: int) -> None:  # stateless w.r.t. randomness
+        pass
 
     def on_zone(
         self, zone: ZoneSpec, player: PlayerSnapshot, now: int
     ) -> tuple[ExpectedOutcome, float, list]:
-        expected = expected_outcome(
-            zone,
-            player,
-            enumeration_cap=self.enumeration_cap,
-            mc_samples=self.mc_samples,
-            seed=derive_seed(self._seed_base, str(now)),
-        )
+        expected = expected_outcome(zone, player)
         survival, requests = challenge_adjust(expected, player, self.settings, now)
         return expected, survival, requests
 
@@ -317,11 +303,7 @@ class DdaEngine:
                 potion_health_gate=ch.potion_health_gate,
                 crit_proficiency_gate=ch.crit_proficiency_gate,
             )
-            model_obj = ProbabilisticModel(
-                settings,
-                enumeration_cap=ch.enumeration_cap,
-                mc_samples=ch.mc_samples,
-            )
+            model_obj = ProbabilisticModel(settings)
         elif model == "dscript":
             ds = dda.dscript
             if ds is None:
@@ -457,11 +439,6 @@ class DdaEngine:
                     "tick": now,
                     "zone": zone.zone_id,
                     "expected": round(expected.value, 9),
-                    "method": expected.method,
-                    "n_samples": expected.n_samples,
-                    "stderr": None
-                    if expected.stderr is None
-                    else round(expected.stderr, 9),
                     "survival": round(survival, 9),
                 }
             )

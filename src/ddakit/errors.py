@@ -42,16 +42,6 @@ class WindowNotReadyError(DdaError):
         self.ticks_remaining = ticks_remaining
 
 
-class MissingReferenceError(DdaError):
-    """Assessment was asked to score variables that have no reference."""
-
-    def __init__(self, var_ids: list[str]) -> None:
-        super().__init__(
-            "no reference value for variable(s): " + ", ".join(sorted(var_ids))
-        )
-        self.var_ids = list(var_ids)
-
-
 class ScriptGenerationError(DdaError):
     """A script could not be drawn from the rule base."""
 

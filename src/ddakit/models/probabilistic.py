@@ -1,21 +1,18 @@
 """Probabilistic model: expected damage of an upcoming zone, then a nudge.
 
 Before the player enters a zone (here: the next enemy wave), the model
-computes the expected total damage the zone will deal. Small joint outcome
-spaces are enumerated exactly; larger ones fall back to a seeded Monte
-Carlo estimate with a standard error. The expected damage is turned into a
-survival ratio, compared against a band, and out-of-band ratios become
-zone-scaling change requests, optionally sweetened with one-shot gift
-events for a struggling player.
+computes the expected total damage the zone will deal. Damage adds up over
+attacks, so the expectation is exact by linearity: each group contributes
+its attack count times the mean damage of one attack. The expected damage
+is turned into a survival ratio, compared against a band, and out-of-band
+ratios become zone-scaling change requests, optionally sweetened with
+one-shot gift events for a struggling player.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from ..adjustment import ChangeKind, ChangeRequest, Visibility
 from ..assessment import FlowBand
@@ -27,7 +24,6 @@ __all__ = [
     "PlayerSnapshot",
     "ExpectedOutcome",
     "ChallengeSettings",
-    "joint_outcome_count",
     "expected_outcome",
     "challenge_adjust",
 ]
@@ -99,9 +95,6 @@ class PlayerSnapshot:
 @dataclass(frozen=True, slots=True)
 class ExpectedOutcome:
     value: float
-    method: str  # "enumeration" or "monte_carlo"
-    n_samples: int | None = None
-    stderr: float | None = None
 
 
 def _effective_outcomes(
@@ -122,71 +115,18 @@ def _effective_outcomes(
     return eff
 
 
-def joint_outcome_count(zone: ZoneSpec, player: PlayerSnapshot) -> int:
-    """Size of the joint outcome space the enumeration would walk."""
-    total = 1
-    for g in zone.groups:
-        total *= len(_effective_outcomes(g, player.evade_prob)) ** g.attacks
-    return total
-
-
-def expected_outcome(
-    zone: ZoneSpec,
-    player: PlayerSnapshot,
-    *,
-    enumeration_cap: int = 1_000_000,
-    mc_samples: int = 20_000,
-    seed: int = 0,
-) -> ExpectedOutcome:
+def expected_outcome(zone: ZoneSpec, player: PlayerSnapshot) -> ExpectedOutcome:
     """Expected total damage the zone deals to this player.
 
-    Enumerates the full joint outcome space when it holds at most
-    ``enumeration_cap`` combinations, otherwise draws ``mc_samples``
-    Monte Carlo realizations from the given seed and reports the standard
-    error alongside the mean.
+    By linearity of expectation this is the sum over groups of the group's
+    attack count times the mean damage of one (evasion-folded) attack.
     """
-    effective = [_effective_outcomes(g, player.evade_prob) for g in zone.groups]
-    if joint_outcome_count(zone, player) <= enumeration_cap:
-        value = _enumerate(zone, effective)
-        return ExpectedOutcome(value=value, method="enumeration")
-    value, stderr = _monte_carlo(zone, effective, mc_samples, seed)
-    return ExpectedOutcome(
-        value=value, method="monte_carlo", n_samples=mc_samples, stderr=stderr
+    value = math.fsum(
+        g.attacks
+        * math.fsum(p * d for p, d in _effective_outcomes(g, player.evade_prob))
+        for g in zone.groups
     )
-
-
-def _enumerate(
-    zone: ZoneSpec, effective: list[list[tuple[float, float]]]
-) -> float:
-    slots: list[list[tuple[float, float]]] = []
-    for g, eff in zip(zone.groups, effective):
-        slots.extend([eff] * g.attacks)
-    terms = (
-        math.prod(p for p, _ in combo) * math.fsum(d for _, d in combo)
-        for combo in itertools.product(*slots)
-    )
-    return math.fsum(terms)
-
-
-def _monte_carlo(
-    zone: ZoneSpec,
-    effective: list[list[tuple[float, float]]],
-    n_samples: int,
-    seed: int,
-) -> tuple[float, float]:
-    if n_samples < 2:
-        raise DomainError(f"mc_samples must be >= 2, got {n_samples}")
-    rng = np.random.default_rng(seed)
-    totals = np.zeros(n_samples)
-    for g, eff in zip(zone.groups, effective):
-        probs = np.array([p for p, _ in eff])
-        dmgs = np.array([d for _, d in eff])
-        # Each sample draws the outcome histogram of this group's attacks.
-        counts = rng.multinomial(g.attacks, probs / probs.sum(), size=n_samples)
-        totals += counts @ dmgs
-    mean = float(totals.mean())
-    stderr = float(totals.std(ddof=1) / math.sqrt(n_samples))
-    return mean, stderr
+    return ExpectedOutcome(value=value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -205,7 +145,6 @@ class ChallengeSettings:
     potion_health_gate: float = 0.4
     crit_factor: str | None = "crit_next_hit"
     crit_proficiency_gate: float = 0.45
-    gifts: dict[str, tuple[float, float]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.gain < 0:

@@ -160,8 +160,6 @@ class ChallengeSection:
     scale_limits: tuple[float, float] = (0.6, 1.4)
     potion_health_gate: float = 0.4
     crit_proficiency_gate: float = 0.45
-    mc_samples: int = 20_000
-    enumeration_cap: int = 1_000_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -375,8 +373,6 @@ def _dda_to_dict(d: DdaSection) -> dict:
             "scale_limits": list(d.challenge.scale_limits),
             "potion_health_gate": d.challenge.potion_health_gate,
             "crit_proficiency_gate": d.challenge.crit_proficiency_gate,
-            "mc_samples": d.challenge.mc_samples,
-            "enumeration_cap": d.challenge.enumeration_cap,
         },
         "dscript": None
         if d.dscript is None
@@ -435,8 +431,6 @@ def _dda_from_dict(data: dict) -> DdaSection:
             scale_limits=tuple(challenge.get("scale_limits", (0.6, 1.4))),  # type: ignore[arg-type]
             potion_health_gate=float(challenge.get("potion_health_gate", 0.4)),
             crit_proficiency_gate=float(challenge.get("crit_proficiency_gate", 0.45)),
-            mc_samples=int(challenge.get("mc_samples", 20_000)),
-            enumeration_cap=int(challenge.get("enumeration_cap", 1_000_000)),
         ),
         dscript=None
         if dscript is None

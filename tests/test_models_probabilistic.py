@@ -17,7 +17,6 @@ from ddakit.models.probabilistic import (
     ZoneSpec,
     challenge_adjust,
     expected_outcome,
-    joint_outcome_count,
 )
 
 BAND = FlowBand(0.25, 0.15, FlowSemantics.RATIO_CENTERED)
@@ -62,24 +61,11 @@ def test_zone_and_player_validation():
 # -- expectation --------------------------------------------------------------
 
 
-def test_joint_outcome_count():
-    g = AttackProfile(2, 3, ((0.8, 10.0), (0.2, 0.0)))
-    assert joint_outcome_count(zone(g), player()) == 2**6
-    two = AttackProfile(1, 2, ((0.5, 5.0), (0.3, 2.0), (0.2, 0.0)))
-    assert joint_outcome_count(zone(g, two), player()) == 2**6 * 3**2
-    # Folding evasion into a distribution that has no miss mass adds one.
-    sure = AttackProfile(1, 2, ((1.0, 5.0),))
-    assert joint_outcome_count(zone(sure), player()) == 1
-    assert joint_outcome_count(zone(sure), player(evade=0.25)) == 2**2
-
-
 def test_enumeration_matches_linearity_of_expectation():
     # E[total] = sum over attacks of E[one attack]; exact, so 1e-12 holds.
     g1 = AttackProfile(2, 3, ((0.5, 10.0), (0.5, 0.0)))  # mean 5 per attack
     g2 = AttackProfile(1, 2, ((0.25, 8.0), (0.75, 0.0)))  # mean 2 per attack
     out = expected_outcome(zone(g1, g2), player())
-    assert out.method == "enumeration"
-    assert out.stderr is None and out.n_samples is None
     assert out.value == pytest.approx(6 * 5.0 + 2 * 2.0, abs=1e-12)
 
 
@@ -134,33 +120,17 @@ def test_enumeration_matches_brute_force_on_random_zones():
         evade = rng.choice([0.0, 0.3])
         got = expected_outcome(zone(g), player(evade=evade))
         want = brute_force_expectation([g], evade)
-        assert got.method == "enumeration"
         assert got.value == pytest.approx(want, abs=1e-12)
 
 
-def test_monte_carlo_kicks_in_above_the_cap():
-    g = AttackProfile(2, 3, ((0.5, 10.0), (0.5, 0.0)))
-    exact = expected_outcome(zone(g), player()).value
-    mc = expected_outcome(zone(g), player(), enumeration_cap=0, mc_samples=50_000, seed=11)
-    assert mc.method == "monte_carlo"
-    assert mc.n_samples == 50_000
-    assert mc.stderr is not None and mc.stderr > 0
-    assert abs(mc.value - exact) <= 3 * mc.stderr
-
-
-def test_monte_carlo_is_seed_deterministic():
-    g = AttackProfile(3, 2, ((0.6, 7.0), (0.4, 0.0)))
-    a = expected_outcome(zone(g), player(), enumeration_cap=0, mc_samples=5_000, seed=3)
-    b = expected_outcome(zone(g), player(), enumeration_cap=0, mc_samples=5_000, seed=3)
-    c = expected_outcome(zone(g), player(), enumeration_cap=0, mc_samples=5_000, seed=4)
-    assert a.value == b.value and a.stderr == b.stderr
-    assert a.value != c.value
-
-
-def test_monte_carlo_needs_two_samples():
-    g = AttackProfile(1, 1, ((1.0, 1.0),))
-    with pytest.raises(DomainError):
-        expected_outcome(zone(g), player(), enumeration_cap=0, mc_samples=1)
+def test_zone_above_the_walkable_size_is_exact():
+    # 6 raiders x 4 attacks x 2 outcomes: 2^24 joint outcomes, still exact.
+    raiders = AttackProfile(6, 4, ((0.7, 9.0), (0.3, 0.0)))
+    assert expected_outcome(zone(raiders), player()).value == pytest.approx(
+        24 * 0.7 * 9.0, abs=1e-12
+    )
+    evaded = expected_outcome(zone(raiders), player(evade=0.25)).value
+    assert evaded == pytest.approx(24 * 0.7 * 0.75 * 9.0, abs=1e-12)
 
 
 # -- challenge adjustment -------------------------------------------------------
