@@ -7,6 +7,15 @@ with the same inputs reproduces the trace byte for byte. An encounter is
 one wave and ends when the wave dies or the player does; the player's
 death despawns the wave, so factor changes and new scripts always find a
 fresh squad to apply to.
+
+Time advances by next-event jumps rather than one tick at a time. After
+each visited tick the loop computes the earliest tick where anything can
+happen (a cooldown running out, a respawn or wave timer, an accepted
+health sample, a potion due, a window boundary, ``max_ticks``), winds the
+cooldowns over the quiet ticks in between and runs the same tick body
+there. State changes and random draws happen only on visited ticks, so
+the trace and the order of draws from every stream are exactly those of
+stepping every tick.
 """
 
 from __future__ import annotations
@@ -94,6 +103,11 @@ def run_episode(
     elif engine.window_len != wlen:
         raise ConfigError(
             f"engine window_len {engine.window_len} != episode window_len {wlen}"
+        )
+    if engine.references is not None and engine.references.window_len != wlen:
+        raise ConfigError(
+            f"reference window_len {engine.references.window_len} != "
+            f"episode window_len {wlen}; recalibrate at window {wlen}"
         )
 
     player_rng = Stream(seed, "player")
@@ -424,7 +438,33 @@ def run_episode(
 
         if current_wave is None and wave_index >= config.waves:
             break
-        tick += 1
+
+        # Next-event advance: land on the earliest tick where a cooldown
+        # runs out, a timer fires, a health sample is accepted, a potion is
+        # due or a window closes. The ticks in between would change nothing
+        # but the cooldowns, so those are wound forward instead.
+        nxt = min(config.max_ticks, (tick // wlen + 1) * wlen)
+        if track_health:
+            nxt = min(nxt, max(tick + 1, tracker.next_sample_tick("health")))
+        if not alive:
+            nxt = min(nxt, max(tick + 1, respawn_at))
+        elif enemies:
+            due = player_cd
+            for enemy in enemies:
+                if enemy.alive and enemy.cooldown < due:
+                    due = enemy.cooldown
+            nxt = min(nxt, tick + due)
+        elif wave_index < config.waves:
+            nxt = min(nxt, max(tick + 1, next_wave_at))
+        if alive and potions > 0 and 0.0 < hp <= bot.potion_threshold * max_hp:
+            nxt = tick + 1
+        skipped = nxt - tick - 1
+        if skipped and alive and enemies:
+            player_cd -= skipped
+            for enemy in enemies:
+                if enemy.alive:
+                    enemy.cooldown -= skipped
+        tick = nxt
 
     trace.extend(engine.on_scene_change(tick))
     trace.add(

@@ -235,6 +235,20 @@ class Tracker:
             state.carry = value
         return SampleResult.ACCEPTED
 
+    def next_sample_tick(self, var_id: str) -> int:
+        """Earliest tick at which ``sample_permanent`` would accept a sample.
+
+        Every call before that tick is throttled, so a caller that only
+        samples on ticks where something happens can skip the others.
+        """
+        state = self._state(var_id)
+        if state.spec.mode is not TrackingMode.PERMANENT:
+            raise ModeMismatchError(f"{var_id} is event-triggered; it has no samples")
+        last = state.last_accepted_tick
+        if last is None:
+            return 0
+        return last + state.spec.min_sample_interval
+
     # -- windows ------------------------------------------------------
 
     def close_window(

@@ -103,6 +103,20 @@ def test_config_problems_exit_two(cfg_path, tmp_path, capsys):
     assert "needs a reference file" in err
 
 
+def test_reference_from_another_window_exits_two(cfg_path, tmp_path, capsys):
+    ref = tmp_path / "ref.json"
+    assert main(
+        ["calibrate", "--config", cfg_path, "--bot", "medium", "--runs", "2",
+         "--out", str(ref)]
+    ) == 0
+    code = main(
+        ["run", "--config", cfg_path, "--bot", "medium", "--model", "metrics",
+         "--ref", str(ref), "--window", "100"]
+    )
+    assert code == 2
+    assert "reference window_len 120" in capsys.readouterr().err
+
+
 def test_runtime_failures_exit_one(cfg_path, tmp_path, capsys):
     code = main(
         ["calibrate", "--config", cfg_path, "--bot", "medium", "--runs", "0",

@@ -18,6 +18,7 @@ from ddakit.sim.config import (
     GameConfig,
     arena,
     default_factors,
+    duel,
     default_weights,
 )
 from ddakit.sim.trace import EpisodeTrace
@@ -300,3 +301,43 @@ def test_engine_cannot_be_reused_across_episodes():
     run_episode(config, IDLER, seed=0, engine=engine)
     with pytest.raises(ConfigError, match="already bound"):
         run_episode(config, IDLER, seed=0, engine=engine)
+
+
+def test_reference_window_mismatch_is_refused():
+    from ddakit.engine import DdaEngine
+    from ddakit.reference import ReferenceSet
+
+    config = sure_config()
+    refs = ReferenceSet(window_len=500)
+    engine = DdaEngine.from_config(config, model="off", references=refs)
+    with pytest.raises(ConfigError, match="reference window_len 500"):
+        run_episode(config, IDLER, seed=0, engine=engine)
+
+
+# -- next-event advance ---------------------------------------------------------
+
+
+def test_quiet_ticks_are_skipped():
+    """Engine and health sampler are only called on ticks where something happens."""
+    from ddakit.engine import DdaEngine
+
+    config = duel().replacing(waves=60)
+    engine = DdaEngine.from_config(config, model="off")
+    calls = {"on_tick": 0, "sample_permanent": 0}
+
+    def counting(obj, name):
+        inner = getattr(obj, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        setattr(obj, name, wrapper)
+
+    counting(engine, "on_tick")
+    counting(engine.tracker, "sample_permanent")
+    trace = run_episode(config, BOTS["medium"], seed=1, engine=engine)
+    (outcome,) = trace.records_of_type("outcome")
+    assert outcome["truncated"] is False
+    assert 0 < calls["on_tick"] <= outcome["tick"] / 10
+    assert 0 < calls["sample_permanent"] <= outcome["tick"] / 10

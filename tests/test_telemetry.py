@@ -210,6 +210,49 @@ def test_throttle_property_gap_at_least_interval(ticks, interval):
         assert b - a >= interval
 
 
+def test_next_sample_tick_before_and_after_samples():
+    tr = Tracker()
+    tr.register_variable(health_var(min_sample_interval=30))
+    assert tr.next_sample_tick("health") == 0  # before any sample
+    assert tr.sample_permanent("health", 100.0, 5) is SampleResult.ACCEPTED
+    assert tr.next_sample_tick("health") == 35  # right after an accepted one
+    assert tr.sample_permanent("health", 90.0, 34) is SampleResult.THROTTLED
+    assert tr.next_sample_tick("health") == 35  # a throttled call moves nothing
+    assert tr.sample_permanent("health", 80.0, 35) is SampleResult.ACCEPTED
+    assert tr.next_sample_tick("health") == 65
+
+
+def test_next_sample_tick_with_unit_interval():
+    tr = Tracker()
+    tr.register_variable(health_var(min_sample_interval=1))
+    tr.sample_permanent("health", 100.0, 0)
+    assert tr.next_sample_tick("health") == 1
+    tr.sample_permanent("health", 100.0, 1)
+    assert tr.next_sample_tick("health") == 2
+
+
+def test_next_sample_tick_guards():
+    tr = Tracker()
+    tr.register_variable(event_var("e"))
+    with pytest.raises(ModeMismatchError):
+        tr.next_sample_tick("e")
+    with pytest.raises(UnknownVariableError):
+        tr.next_sample_tick("ghost")
+
+
+@given(
+    ticks=st.lists(st.integers(min_value=0, max_value=500), min_size=1, max_size=60),
+    interval=st.integers(min_value=1, max_value=50),
+)
+def test_next_sample_tick_predicts_acceptance(ticks, interval):
+    tr = Tracker()
+    tr.register_variable(health_var(min_sample_interval=interval))
+    for t in sorted(ticks):
+        due = tr.next_sample_tick("health")
+        result = tr.sample_permanent("health", 1.0, t)
+        assert (result is SampleResult.ACCEPTED) == (t >= due)
+
+
 @given(
     events=st.lists(
         st.tuples(
