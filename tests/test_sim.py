@@ -18,8 +18,8 @@ from ddakit.sim.config import (
     GameConfig,
     arena,
     default_factors,
-    duel,
     default_weights,
+    duel,
 )
 from ddakit.sim.trace import EpisodeTrace
 
